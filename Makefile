@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test bench-smoke bench bench-serve bench-obs bench-journal fuzz-smoke trace-smoke clean
+.PHONY: all check vet lint build test loc bench-smoke bench bench-serve bench-obs bench-journal fuzz-smoke trace-smoke clean
 
 all: check
 
@@ -24,6 +24,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines (each package's GoFiles: no _test.go, no testdata) of
+# the serving plane — internal/service, internal/server, internal/obs and
+# their subpackages — and of the whole module.
+LOC_FILES = $(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}}{{"\n"}}{{end}}'
+loc:
+	@echo "serving plane (internal/{service,server,obs}): $$($(LOC_FILES) ./internal/service/... ./internal/server/... ./internal/obs/... | xargs cat | wc -l)"
+	@echo "module: $$($(LOC_FILES) ./... | xargs cat | wc -l)"
 
 # Quick single-pass benchmarks, as a CI smoke that the serving path and
 # the evaluation hot path still run end-to-end. The eval benchmark also

@@ -12,10 +12,11 @@
 // layers, so it lives strictly in the serving packages (service, server,
 // cmd) and is never imported by a deterministic one (§3, §12 of DESIGN.md).
 //
-// Components that already keep their own atomic counters (the gateway's
-// per-shard stats) register them as CounterFunc/GaugeFunc callbacks read
-// at snapshot time, so exposing a counter costs the hot path nothing and
-// the registry cannot drift from the source of truth.
+// Components that keep their own counters (gateway, controller, HTTP
+// server) export them through one collector each: Gather calls the
+// component's typed Stats snapshot once and emits every series from it, so
+// exposing a counter costs the hot path nothing and /metrics cannot drift
+// from the snapshot /v1/stats is built from.
 package obs
 
 import (
@@ -85,20 +86,18 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// instrument is one registered series: identity plus exactly one backing
-// source (an owned instrument or a read-at-snapshot callback).
+// instrument is one registration: a series with exactly one owned
+// instrument, or a component's collector.
 type instrument struct {
 	name   string
 	help   string
 	labels Labels
-	key    string // name + canonical label encoding
 	kind   Kind
 
-	counter     *Counter
-	gauge       *Gauge
-	hist        *Histogram
-	counterFunc func() uint64
-	gaugeFunc   func() float64
+	counter *Counter
+	gauge   *Gauge
+	hist    *Histogram
+	collect func(Emit)
 }
 
 // Registry holds the instruments of one serving stack (typically one per
@@ -106,10 +105,10 @@ type instrument struct {
 // concurrent use. Registration is get-or-create on (name, labels): asking
 // twice for the same series returns the same instrument, so independently
 // constructed components can share counters without coordination. A
-// *Func re-registration replaces the callback — the newest component owns
-// the series. Registering the same series under a different kind panics:
-// that is a programming error, caught at wiring time, not a runtime
-// condition.
+// collector re-registered under its key replaces the old one — the newest
+// component owns its series. Registering the same series under a different
+// kind panics: that is a programming error, caught at wiring time, not a
+// runtime condition.
 type Registry struct {
 	nop bool
 
@@ -172,11 +171,9 @@ func cloneLabels(labels Labels) Labels {
 	return out
 }
 
-// register is the get-or-create core. make builds the instrument when the
-// series is new; replace, when non-nil, updates an existing func-backed
-// series in place (callback re-registration).
-func (r *Registry) register(name, help string, labels Labels, kind Kind,
-	make func(*instrument), replace func(*instrument)) *instrument {
+// register is the get-or-create core: make builds the instrument when the
+// series is new.
+func (r *Registry) register(name, help string, labels Labels, kind Kind, make func(*instrument)) *instrument {
 	key := name + "{" + labelKey(labels) + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -184,12 +181,9 @@ func (r *Registry) register(name, help string, labels Labels, kind Kind,
 		if ins.kind != kind {
 			panic(fmt.Sprintf("obs: %s re-registered as %s, was %s", key, kind, ins.kind))
 		}
-		if replace != nil {
-			replace(ins)
-		}
 		return ins
 	}
-	ins := &instrument{name: name, help: help, labels: cloneLabels(labels), key: key, kind: kind}
+	ins := &instrument{name: name, help: help, labels: cloneLabels(labels), kind: kind}
 	make(ins)
 	if r.byKey != nil {
 		r.byKey[key] = ins
@@ -201,48 +195,45 @@ func (r *Registry) register(name, help string, labels Labels, kind Kind,
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	ins := r.register(name, help, labels, KindCounter,
-		func(i *instrument) { i.counter = &Counter{} }, nil)
+		func(i *instrument) { i.counter = &Counter{} })
 	return ins.counter
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	ins := r.register(name, help, labels, KindGauge,
-		func(i *instrument) { i.gauge = &Gauge{} }, nil)
+		func(i *instrument) { i.gauge = &Gauge{} })
 	return ins.gauge
 }
 
 // Histogram returns the named latency histogram, creating it on first use.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 	ins := r.register(name, help, labels, KindHistogram,
-		func(i *instrument) { i.hist = &Histogram{} }, nil)
+		func(i *instrument) { i.hist = &Histogram{} })
 	return ins.hist
 }
 
-// CounterFunc registers a counter series whose value is read from fn at
-// snapshot time — the zero-hot-path-cost way to expose a count a component
-// already maintains. fn must be safe to call from any goroutine and should
-// be monotone. Re-registering replaces the callback.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	r.register(name, help, labels, KindCounter,
-		func(i *instrument) { i.counterFunc = fn },
-		func(i *instrument) {
-			if i.counterFunc != nil {
-				i.counterFunc = fn
-			}
-		})
-}
+// Emit hands one counter or gauge series to the Gather in progress.
+type Emit func(name, help string, labels Labels, kind Kind, value float64)
 
-// GaugeFunc registers a gauge series read from fn at snapshot time (queue
-// depths, table sizes, generation numbers). Same contract as CounterFunc.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.register(name, help, labels, KindGauge,
-		func(i *instrument) { i.gaugeFunc = fn },
-		func(i *instrument) {
-			if i.gaugeFunc != nil {
-				i.gaugeFunc = fn
-			}
-		})
+// Collect registers fn as a component's collector: every Gather calls fn
+// once, at its registration position, and fn emits the component's series
+// from one snapshot of its state. key names the component; registering the
+// key again replaces fn. fn must be safe to call from any goroutine. A Nop
+// registry ignores collectors.
+func (r *Registry) Collect(key string, fn func(Emit)) {
+	if r.nop {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ins, ok := r.byKey[key]; ok && ins.collect != nil {
+		ins.collect = fn
+		return
+	}
+	ins := &instrument{collect: fn}
+	r.byKey[key] = ins
+	r.order = append(r.order, ins)
 }
 
 // Sample is one series' value at Gather time.
@@ -260,27 +251,33 @@ type Sample struct {
 }
 
 // Gather snapshots every registered series, in registration order (which
-// is deterministic for a deterministically wired stack). Callbacks run
-// outside the registry lock, so a slow GaugeFunc cannot block concurrent
-// registration, and callbacks may themselves take component locks without
-// ordering against the registry's.
+// is deterministic for a deterministically wired stack). Collectors run
+// outside the registry lock, so a slow one cannot block concurrent
+// registration, and they may take component locks without ordering
+// against the registry's.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
-	order := make([]*instrument, len(r.order))
-	copy(order, r.order)
+	order := make([]instrument, len(r.order))
+	for i, ins := range r.order {
+		order[i] = *ins
+	}
 	r.mu.Unlock()
 	out := make([]Sample, 0, len(order))
-	for _, ins := range order {
+	emit := func(name, help string, labels Labels, kind Kind, value float64) {
+		out = append(out, Sample{Name: name, Labels: labels, Help: help, Kind: kind, Value: value})
+	}
+	for i := range order {
+		ins := &order[i]
+		if ins.collect != nil {
+			ins.collect(emit)
+			continue
+		}
 		s := Sample{Name: ins.name, Labels: ins.labels, Help: ins.help, Kind: ins.kind}
 		switch {
 		case ins.counter != nil:
 			s.Value = float64(ins.counter.Value())
-		case ins.counterFunc != nil:
-			s.Value = float64(ins.counterFunc())
 		case ins.gauge != nil:
 			s.Value = float64(ins.gauge.Value())
-		case ins.gaugeFunc != nil:
-			s.Value = ins.gaugeFunc()
 		case ins.hist != nil:
 			s.Hist = ins.hist.Snapshot()
 		}
@@ -289,7 +286,7 @@ func (r *Registry) Gather() []Sample {
 	return out
 }
 
-// View indexes a Gather result for the lookups a stats surface needs.
+// View indexes a Gather result for by-name lookups in tests and tools.
 type View struct {
 	samples []Sample
 }

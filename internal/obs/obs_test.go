@@ -40,10 +40,10 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("thing", "", nil)
 }
 
-func TestRegistryFuncReplacement(t *testing.T) {
+func TestRegistryCollectorReplacement(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("depth", "", nil, func() float64 { return 1 })
-	r.GaugeFunc("depth", "", nil, func() float64 { return 2 })
+	r.Collect("queue", func(emit Emit) { emit("depth", "", nil, KindGauge, 1) })
+	r.Collect("queue", func(emit Emit) { emit("depth", "", nil, KindGauge, 2) })
 	v := NewView(r.Gather())
 	if got := v.Value("depth"); got != 2 {
 		t.Fatalf("after re-registration Value = %v, want the newest callback's 2", got)
@@ -63,7 +63,7 @@ func TestNopRegistryRecordsNothing(t *testing.T) {
 	g := r.Gauge("y", "", nil)
 	g.Set(5)
 	r.Histogram("z", "", nil).Observe(10)
-	r.CounterFunc("f", "", nil, func() uint64 { return 9 })
+	r.Collect("f", func(emit Emit) { emit("f", "", nil, KindCounter, 9) })
 	if got := len(r.Gather()); got != 0 {
 		t.Fatalf("Nop Gather returned %d samples, want 0", got)
 	}
@@ -216,7 +216,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWriteJSONSquashesNaN(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("lppm_drift", "", nil, func() float64 { return math.NaN() })
+	r.Collect("drift", func(emit Emit) { emit("lppm_drift", "", nil, KindGauge, math.NaN()) })
 	var b bytes.Buffer
 	if err := WriteJSON(&b, r.Gather()); err != nil {
 		t.Fatalf("WriteJSON with NaN gauge: %v", err)

@@ -1,74 +1,23 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-)
-
-// memStatsCache throttles runtime.ReadMemStats behind the gauge
-// callbacks: every gauge reads the same snapshot, refreshed at most
-// once per memStatsMinInterval. ReadMemStats stops the world briefly,
-// so it must run only when /metrics is actually scraped (Gather calls
-// the callbacks) — never on the serving path — and only once per
-// scrape, not once per gauge.
-type memStatsCache struct {
-	mu     sync.Mutex
-	stats  runtime.MemStats
-	asOfNS int64
-}
-
-const memStatsMinInterval = int64(1e9) // 1s
-
-func (c *memStatsCache) read(f func(*runtime.MemStats) float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if now := Stamp(); c.asOfNS == 0 || now-c.asOfNS >= memStatsMinInterval {
-		runtime.ReadMemStats(&c.stats)
-		c.asOfNS = now
-	}
-	return f(&c.stats)
-}
+import "runtime"
 
 // RegisterRuntimeMetrics exports the process's own pressure signals on
-// r: goroutine count, heap footprint, GC activity. Idempotent (the
-// registry's get-or-create *Func replacement), read-at-Gather only —
-// a process that is never scraped never pays for them.
+// r: goroutine count, heap footprint, GC activity. One collector reads
+// runtime.MemStats once per Gather — ReadMemStats stops the world
+// briefly, so it runs only when /metrics is scraped, never on the serving
+// path, and a process that is never scraped never pays for it.
+// Idempotent: registering again replaces the collector.
 func RegisterRuntimeMetrics(r *Registry) {
-	if r == nil || r.Disabled() {
-		return
-	}
-	r.GaugeFunc("go_goroutines",
-		"current number of goroutines", nil,
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	cache := &memStatsCache{}
-	r.GaugeFunc("go_heap_alloc_bytes",
-		"bytes of allocated heap objects", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.HeapAlloc) })
-		})
-	r.GaugeFunc("go_heap_sys_bytes",
-		"bytes of heap memory obtained from the OS", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.HeapSys) })
-		})
-	r.GaugeFunc("go_heap_objects",
-		"number of live heap objects", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.HeapObjects) })
-		})
-	r.GaugeFunc("go_gc_cycles_total",
-		"completed GC cycles since process start", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.NumGC) })
-		})
-	r.GaugeFunc("go_gc_pause_total_ns",
-		"cumulative GC stop-the-world pause nanoseconds", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.PauseTotalNs) })
-		})
-	r.GaugeFunc("go_next_gc_bytes",
-		"heap size target for the next GC cycle", nil,
-		func() float64 {
-			return cache.read(func(m *runtime.MemStats) float64 { return float64(m.NextGC) })
-		})
+	r.Collect("runtime", func(emit Emit) {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		emit("go_goroutines", "current number of goroutines", nil, KindGauge, float64(runtime.NumGoroutine()))
+		emit("go_heap_alloc_bytes", "bytes of allocated heap objects", nil, KindGauge, float64(m.HeapAlloc))
+		emit("go_heap_sys_bytes", "bytes of heap memory obtained from the OS", nil, KindGauge, float64(m.HeapSys))
+		emit("go_heap_objects", "number of live heap objects", nil, KindGauge, float64(m.HeapObjects))
+		emit("go_gc_cycles_total", "completed GC cycles since process start", nil, KindGauge, float64(m.NumGC))
+		emit("go_gc_pause_total_ns", "cumulative GC stop-the-world pause nanoseconds", nil, KindGauge, float64(m.PauseTotalNs))
+		emit("go_next_gc_bytes", "heap size target for the next GC cycle", nil, KindGauge, float64(m.NextGC))
+	})
 }

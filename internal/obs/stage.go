@@ -58,12 +58,12 @@ func Stamp() int64 { return int64(time.Since(epoch)) }
 // the monotonic timebase to calendar time.
 func Epoch() time.Time { return epoch }
 
-// StageClock is the per-stage latency histogram bundle. Constructing one
-// on a registry is idempotent — the histograms are get-or-create — so the
-// gateway and the HTTP server each build their own clock over the shared
-// registry and land in the same series. A nil *StageClock is the disabled
-// form: Observe on it is a no-op, which lets serving code keep a single
-// unconditional call site.
+// StageClock is the per-stage latency histogram bundle, fed by the
+// serving plane's one probe (tracing.Probe). Constructing one on a
+// registry is idempotent — the histograms are get-or-create — so a second
+// clock over the same registry lands in the same series. A nil
+// *StageClock is the disabled form: Observe on it is a no-op and Hist
+// returns nil.
 type StageClock struct {
 	stages [numStages]*Histogram
 }

@@ -11,11 +11,11 @@
 //   - Zero cost when disabled: a nil *Tracer (and the nil *Span every
 //     constructor returns through it) makes every method a no-op, so
 //     call sites need no guards.
-//   - No new hot-path clock reads: span start/end times are the
-//     monotonic obs.Stamp() values the stage clock already samples;
-//     callers pass them in via the ...At constructors. Only explicitly
-//     opted-in work (a client-traced window, control-plane spans) pays
-//     its own reads.
+//   - No new hot-path clock reads: the serving stages are timed by one
+//     Probe (probe.go), whose sampled pair of obs.Stamp() readings per
+//     stage feeds both the stage histogram and the stage span. Only
+//     explicitly opted-in work (a client-traced window, control-plane
+//     spans) pays its own reads.
 //   - Deterministic sampling: the head-sampling decision is pure
 //     arithmetic on the trace ID (no math/rand), so a given trace is
 //     either fully recorded or fully absent and the record output is
@@ -236,8 +236,8 @@ func (t *Tracer) RootAt(name string, startNS int64) *Span {
 }
 
 // ForceRootAt starts a new trace that bypasses head sampling — for
-// call sites that are already sampled upstream (the stage clock's
-// 1-in-8 tick mask) or are rare control-plane events worth keeping.
+// call sites that are already sampled upstream (the probe's 1-in-8
+// tick mask) or are rare control-plane events worth keeping.
 func (t *Tracer) ForceRootAt(name string, startNS int64) *Span {
 	if t == nil {
 		return nil

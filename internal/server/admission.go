@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -278,76 +277,13 @@ type StatsResponse struct {
 	Controller *ControllerStats `json:"controller,omitempty"`
 }
 
-// statsSnapshot assembles the /v1/stats body from the metric registry —
-// the same Gather /metrics serves, so the two surfaces cannot drift. Field
-// names are the legacy wire contract; only the backing store changed. A
-// disabled registry (obs.Nop, benchmarking) gathers nothing, so that path
-// falls back to reading the sources directly.
+// statsSnapshot assembles the /v1/stats body from the components' typed
+// snapshots — the ones their /metrics collectors export, so the two
+// surfaces cannot drift. Field names are the legacy wire contract.
 func (s *Server) statsSnapshot() StatsResponse {
-	if s.reg.Disabled() {
-		return s.statsDirect()
-	}
-	v := obs.NewView(s.reg.Gather())
-	resp := StatsResponse{
-		Server: ServerStats{
-			ActiveStreams:   int(v.Value("lppm_server_active_streams")),
-			StreamsTotal:    uint64(v.Value("lppm_server_streams_total")),
-			StreamsRejected: uint64(v.Value("lppm_server_streams_rejected_total")),
-			RateLimited:     uint64(v.Value("lppm_server_rate_limited_total")),
-			OrphanWindows:   uint64(v.Value("lppm_server_orphan_windows_total")),
-			DroppedWindows:  uint64(v.Value("lppm_server_dropped_windows_total")),
-			Draining:        v.Value("lppm_server_draining") != 0,
-		},
-		Gateway: GatewayStats{
-			Ingested:   uint64(v.Sum("lppm_shard_ingested_total")),
-			Emitted:    uint64(v.Sum("lppm_shard_emitted_total")),
-			Flushes:    uint64(v.Sum("lppm_shard_flushes_total")),
-			Dropped:    uint64(v.Sum("lppm_shard_dropped_total")),
-			Reconfigs:  uint64(v.Sum("lppm_shard_reconfigs_total")),
-			Swaps:      uint64(v.Value("lppm_gateway_swaps_total")),
-			Generation: uint64(v.Value("lppm_gateway_generation")),
-			Users:      int(v.Sum("lppm_shard_users")),
-			Shards:     v.Series("lppm_shard_ingested_total"),
-		},
-	}
-	if s.cfg.Controller != nil {
-		cs := &ControllerStats{
-			WindowsObserved: uint64(v.Value("lppm_controller_windows_observed_total")),
-			RecordsObserved: uint64(v.Value("lppm_controller_records_observed_total")),
-			UsersTracked:    int(v.Value("lppm_controller_users_tracked")),
-			Evaluations:     uint64(v.Value("lppm_controller_evaluations_total")),
-			Swaps:           uint64(v.Value("lppm_controller_swaps_total")),
-			LastPrivacy:     finiteOrZero(v.Value("lppm_controller_last_privacy")),
-			LastUtility:     finiteOrZero(v.Value("lppm_controller_last_utility")),
-		}
-		// The error is the one stat with no numeric series; read it from
-		// the controller directly.
-		if err := s.cfg.Controller.Stats().LastErr; err != nil {
-			cs.LastError = err.Error()
-		}
-		resp.Controller = cs
-	}
-	return resp
-}
-
-// statsDirect assembles the /v1/stats body straight from the sources — the
-// fallback when the registry collects nothing.
-func (s *Server) statsDirect() StatsResponse {
-	s.mu.Lock()
-	srv := ServerStats{
-		ActiveStreams: s.activeStreams,
-		Draining:      s.draining,
-	}
-	s.mu.Unlock()
-	srv.StreamsTotal = s.streamsTotal.Load()
-	srv.StreamsRejected = s.streamsRejected.Load()
-	srv.RateLimited = s.rateLimited.Load()
-	srv.OrphanWindows = s.orphanWindows.Load()
-	srv.DroppedWindows = s.droppedWindows.Load()
-
 	gst := s.gw.Stats()
 	resp := StatsResponse{
-		Server: srv,
+		Server: s.counters().ServerStats,
 		Gateway: GatewayStats{
 			Ingested:   gst.Ingested,
 			Emitted:    gst.Emitted,
@@ -396,18 +332,15 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// writeJSON answers with a JSON body, best effort on the write itself. The
-// response is flushed explicitly: an answer that refuses a streaming
-// request (429/503 on /v1/stream) must reach the client while its request
-// body is still in flight — buffered, it would sit behind the server-side
-// body drain and deadlock the handshake.
+// writeJSON answers with a JSON body, best effort on the write itself.
+// The body stays buffered until the handler returns, so the endpoint's
+// request metrics settle before the client can read the answer; the one
+// answer that must go out early, a /v1/stream refusal, is flushed by its
+// handler.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v) //lppm:allow droppederr -- the response body is best-effort by design: a client gone mid-write has nowhere to report the failure to
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // decodeJSONBody strictly decodes a single JSON object request body.

@@ -155,14 +155,14 @@ func (c *Config) normalize() error {
 }
 
 // timedWindow is one flushed window in a connection's outbound queue,
-// carrying the obs.Stamp at which the dispatcher received it (0 when the
-// stage clock is off) so the writer can attribute queue residency to the
-// dispatch stage and the wire time to the write stage, plus the window's
-// trace context so those hops extend the window's span tree.
+// carrying the window's trace context and its dispatch stage, opened when
+// the dispatcher received it: the writer ends that stage at pickup and
+// times the wire write from the same reading, extending the window's span
+// tree.
 type timedWindow struct {
-	recs []trace.Record
-	ns   int64
-	span tracing.SpanContext
+	recs     []trace.Record
+	span     tracing.SpanContext
+	dispatch tracing.Timer
 }
 
 // streamConn is one /v1/stream connection's server-side state: the window
@@ -224,7 +224,7 @@ type Server struct {
 	stallAbandons   atomic.Uint64
 
 	reg    *obs.Registry
-	clock  *obs.StageClock // nil when the gateway's registry is disabled
+	probe  *tracing.Probe  // the gateway's probe; nil when metrics and tracing are off
 	tracer *tracing.Tracer // the gateway's tracer; nil when tracing is off
 }
 
@@ -245,9 +245,9 @@ func New(cfg Config) (*Server, error) {
 		barrierCh:    make(chan chan struct{}),
 		dispatchDone: make(chan struct{}),
 		reg:          cfg.Gateway.Obs(),
+		probe:        cfg.Gateway.Probe(),
 		tracer:       cfg.Gateway.Tracer(),
 	}
-	s.clock = obs.NewStageClock(s.reg)
 	s.registerMetrics()
 	s.mux.Handle("POST /v1/stream", s.instrument("stream", s.handleStream))
 	s.mux.Handle("POST /v1/protect", s.instrument("protect", s.handleProtect))
@@ -261,37 +261,55 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// registerMetrics exposes the front-end's counters on the gateway's
-// registry — Func-backed reads of the atomics the server already keeps.
+// serverCounters is the front-end's counter snapshot: the /v1/stats
+// server section plus the series only /metrics carries.
+type serverCounters struct {
+	ServerStats
+	stallAbandons uint64
+}
+
+// counters snapshots the front-end's counters — the one source of the
+// /v1/stats server section and the lppm_server_* series.
+func (s *Server) counters() serverCounters {
+	s.mu.Lock()
+	c := serverCounters{ServerStats: ServerStats{ActiveStreams: s.activeStreams, Draining: s.draining}}
+	s.mu.Unlock()
+	c.StreamsTotal = s.streamsTotal.Load()
+	c.StreamsRejected = s.streamsRejected.Load()
+	c.RateLimited = s.rateLimited.Load()
+	c.OrphanWindows = s.orphanWindows.Load()
+	c.DroppedWindows = s.droppedWindows.Load()
+	c.stallAbandons = s.stallAbandons.Load()
+	return c
+}
+
+// registerMetrics exports the front-end's counters on the gateway's
+// registry through one collector over counters.
 func (s *Server) registerMetrics() {
-	s.reg.CounterFunc("lppm_server_streams_total",
-		"stream connections admitted", nil, s.streamsTotal.Load)
-	s.reg.CounterFunc("lppm_server_streams_rejected_total",
-		"stream connections refused by the concurrency cap (503)", nil, s.streamsRejected.Load)
-	s.reg.CounterFunc("lppm_server_rate_limited_total",
-		"requests refused by the per-tenant token bucket (429)", nil, s.rateLimited.Load)
-	s.reg.CounterFunc("lppm_server_orphan_windows_total",
-		"flushed windows with no owning connection", nil, s.orphanWindows.Load)
-	s.reg.CounterFunc("lppm_server_dropped_windows_total",
-		"windows dropped on abandoned connections", nil, s.droppedWindows.Load)
-	s.reg.CounterFunc("lppm_server_stall_abandons_total",
-		"streams abandoned on a dead or stalled response sink (write-stall deadline included)",
-		nil, s.stallAbandons.Load)
-	s.reg.GaugeFunc("lppm_server_active_streams",
-		"concurrent /v1/stream connections", nil, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.activeStreams)
-		})
-	s.reg.GaugeFunc("lppm_server_draining",
-		"1 while the server drains, 0 while serving", nil, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.draining {
-				return 1
-			}
-			return 0
-		})
+	s.reg.Collect("server", func(emit obs.Emit) {
+		c := s.counters()
+		emit("lppm_server_streams_total", "stream connections admitted",
+			nil, obs.KindCounter, float64(c.StreamsTotal))
+		emit("lppm_server_streams_rejected_total", "stream connections refused by the concurrency cap (503)",
+			nil, obs.KindCounter, float64(c.StreamsRejected))
+		emit("lppm_server_rate_limited_total", "requests refused by the per-tenant token bucket (429)",
+			nil, obs.KindCounter, float64(c.RateLimited))
+		emit("lppm_server_orphan_windows_total", "flushed windows with no owning connection",
+			nil, obs.KindCounter, float64(c.OrphanWindows))
+		emit("lppm_server_dropped_windows_total", "windows dropped on abandoned connections",
+			nil, obs.KindCounter, float64(c.DroppedWindows))
+		emit("lppm_server_stall_abandons_total",
+			"streams abandoned on a dead or stalled response sink (write-stall deadline included)",
+			nil, obs.KindCounter, float64(c.stallAbandons))
+		emit("lppm_server_active_streams", "concurrent /v1/stream connections",
+			nil, obs.KindGauge, float64(c.ActiveStreams))
+		draining := 0.0
+		if c.Draining {
+			draining = 1
+		}
+		emit("lppm_server_draining", "1 while the server drains, 0 while serving",
+			nil, obs.KindGauge, draining)
+	})
 }
 
 // epMetrics is one endpoint's pre-registered instruments: request counts by
@@ -304,7 +322,7 @@ type epMetrics struct {
 	classes [6]*obs.Counter
 }
 
-func (m *epMetrics) done(code int) {
+func (m *epMetrics) count(code int) {
 	i := code / 100
 	if i < 0 || i > 5 || m.classes[i] == nil {
 		i = 0
@@ -328,9 +346,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			"requests served, by status class", obs.Labels{"endpoint": endpoint, "class": c.class})
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Both metrics settle before the client can read the answer: the
+		// class counts when the status is committed, ahead of any byte on
+		// the wire, and the in-flight decrement runs before net/http sends
+		// a response the handler did not flush.
 		m.inflight.Add(1)
 		defer m.inflight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, m: m}
 		var sp *tracing.Span
 		if s.tracer != nil {
 			// W3C propagation: continue the client's trace when the
@@ -347,50 +369,48 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			}
 		}
 		h(sw, r)
-		code := sw.statusCode()
-		m.done(code)
-		sp.AttrInt("status", int64(code)).End()
+		sw.commit(http.StatusOK) // a handler that wrote nothing answers 200
+		sp.AttrInt("status", int64(sw.code)).End()
 	})
 }
 
-// statusWriter records the response status for the endpoint metrics while
-// staying transparent to everything the handlers need from the underlying
-// writer: Unwrap hands http.ResponseController the real writer (full
-// duplex, deadlines), Flush keeps refusal answers and window-granular
-// streaming working.
+// statusWriter counts the response status in the endpoint metrics when it
+// is committed, while staying transparent to everything the handlers need
+// from the underlying writer: Unwrap hands http.ResponseController the
+// real writer (full duplex, deadlines), Flush keeps refusal answers and
+// window-granular streaming working.
 type statusWriter struct {
 	http.ResponseWriter
+	m    *epMetrics
 	code int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+// commit records the status once, at the first header or body write.
+func (w *statusWriter) commit(code int) {
 	if w.code == 0 {
 		w.code = code
+		w.m.count(code)
 	}
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.commit(code)
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
+	w.commit(http.StatusOK)
 	return w.ResponseWriter.Write(b)
 }
 
 func (w *statusWriter) Flush() {
+	w.commit(http.StatusOK)
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) statusCode() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -470,12 +490,7 @@ func (s *Server) route(wnd service.Window) {
 		s.orphanWindows.Add(1)
 		return
 	}
-	tw := timedWindow{recs: recs, span: wnd.Span}
-	// A traced window gets its dispatch stamp even when the stage clock
-	// is off: the window's trace already opted in upstream.
-	if s.clock != nil || (s.tracer != nil && wnd.Span.Sampled()) {
-		tw.ns = obs.Stamp()
-	}
+	tw := timedWindow{recs: recs, span: wnd.Span, dispatch: s.probe.Start(obs.StageDispatch, wnd.Span)}
 	select {
 	case c.windows <- tw:
 	case <-c.gone:
@@ -586,6 +601,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// a body a goroutine may still be reading.
 	w.Header().Set("Connection", "close")
 	if !s.admitStream(w, r) {
+		// The refusal must reach the client while its request body is
+		// still in flight — buffered, it would sit behind the server-side
+		// body drain and deadlock the handshake.
+		_ = rc.Flush() //lppm:allow droppederr -- a client gone before its refusal arrives has nothing left to be told
 		return
 	}
 	defer func() {
@@ -711,17 +730,8 @@ func (s *Server) writeStream(w http.ResponseWriter, rc *http.ResponseController,
 		return err
 	}
 	for tw := range c.windows {
-		// A traced window reuses the dispatch/write stamps for its last
-		// two spans — same readings, no extra clock cost.
-		traced := s.tracer != nil && tw.span.Sampled() && tw.ns != 0
-		var pickup int64
-		if s.clock != nil || traced {
-			pickup = obs.Stamp()
-			s.clock.Observe(obs.StageDispatch, tw.ns, pickup)
-			if traced {
-				s.tracer.ChildAt(tw.span, "dispatch", tw.ns).EndAt(pickup)
-			}
-		}
+		// The pickup reading ends the dispatch stage and starts the write.
+		write := s.probe.StartAt(obs.StageWrite, tw.span, tw.dispatch.End())
 		// Rolling stall deadline: a client that keeps reading never hits
 		// it; one that stopped reading errors this write, the handler
 		// abandons the connection, and route() stops blocking on it —
@@ -738,13 +748,7 @@ func (s *Server) writeStream(w http.ResponseWriter, rc *http.ResponseController,
 		if err := rc.Flush(); err != nil {
 			return err
 		}
-		if s.clock != nil || traced {
-			end := obs.Stamp()
-			s.clock.Observe(obs.StageWrite, pickup, end)
-			if traced {
-				s.tracer.ChildAt(tw.span, "write", pickup).EndAt(end)
-			}
-		}
+		write.End()
 	}
 	// Clear the deadline for the trailer write.
 	_ = rc.SetWriteDeadline(time.Time{}) //lppm:allow droppederr -- best-effort clear; pairs with the best-effort set above

@@ -265,50 +265,30 @@ func NewController(g *Gateway, dep *core.Deployment, cfg ControllerConfig) (*Con
 	return c, nil
 }
 
-// registerMetrics exposes the control loop's counters and latest estimates
-// on the gateway's registry. Everything is Func-backed — a Gather takes the
-// controller mutex briefly per callback, the control loop pays nothing.
-// (Gather runs callbacks outside the registry lock, so taking c.mu here
-// cannot deadlock against registration.)
+// registerMetrics exports the control loop's counters and latest
+// estimates on the gateway's registry through one collector: each Gather
+// takes one Stats snapshot (one hold of the controller mutex), and the
+// control loop pays nothing.
 func (c *Controller) registerMetrics(r *obs.Registry) {
-	locked := func(read func() float64) func() float64 {
-		return func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return read()
-		}
-	}
-	lockedU := func(read func() uint64) func() uint64 {
-		return func() uint64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return read()
-		}
-	}
-	r.CounterFunc("lppm_controller_windows_observed_total",
-		"sampled windows delivered to the controller", nil,
-		lockedU(func() uint64 { return c.windows }))
-	r.CounterFunc("lppm_controller_records_observed_total",
-		"records in sampled windows", nil,
-		lockedU(func() uint64 { return c.records }))
-	r.CounterFunc("lppm_controller_evaluations_total",
-		"drift checks that judged the objectives", nil,
-		lockedU(func() uint64 { return c.evals }))
-	r.CounterFunc("lppm_controller_swaps_total",
-		"reconfigurations re-deployed into the gateway", nil,
-		lockedU(func() uint64 { return c.swaps }))
-	r.CounterFunc("lppm_controller_override_skips_total",
-		"per-user overrides rejected during reconfiguration", nil,
-		lockedU(func() uint64 { return c.overrideSkips }))
-	r.GaugeFunc("lppm_controller_users_tracked",
-		"users with live sliding aggregates", nil,
-		locked(func() float64 { return float64(len(c.users)) }))
-	r.GaugeFunc("lppm_controller_last_privacy",
-		"most recent online privacy estimate", nil,
-		locked(func() float64 { return c.lastPriv }))
-	r.GaugeFunc("lppm_controller_last_utility",
-		"most recent online utility estimate", nil,
-		locked(func() float64 { return c.lastUtil }))
+	r.Collect("controller", func(emit obs.Emit) {
+		st := c.Stats()
+		emit("lppm_controller_windows_observed_total", "sampled windows delivered to the controller",
+			nil, obs.KindCounter, float64(st.WindowsObserved))
+		emit("lppm_controller_records_observed_total", "records in sampled windows",
+			nil, obs.KindCounter, float64(st.RecordsObserved))
+		emit("lppm_controller_evaluations_total", "drift checks that judged the objectives",
+			nil, obs.KindCounter, float64(st.Evaluations))
+		emit("lppm_controller_swaps_total", "reconfigurations re-deployed into the gateway",
+			nil, obs.KindCounter, float64(st.Swaps))
+		emit("lppm_controller_override_skips_total", "per-user overrides rejected during reconfiguration",
+			nil, obs.KindCounter, float64(st.OverrideSkips))
+		emit("lppm_controller_users_tracked", "users with live sliding aggregates",
+			nil, obs.KindGauge, float64(st.UsersTracked))
+		emit("lppm_controller_last_privacy", "most recent online privacy estimate",
+			nil, obs.KindGauge, st.LastPrivacy)
+		emit("lppm_controller_last_utility", "most recent online utility estimate",
+			nil, obs.KindGauge, st.LastUtility)
+	})
 }
 
 // User implements Tap: one sampler per user stream, seeded by name.

@@ -72,16 +72,16 @@ type Config struct {
 	Overrides map[string]lppm.Params
 	// Obs is the metric registry the gateway (and every component wired
 	// to it — controller, HTTP server) registers into; nil gets a fresh
-	// private registry. Pass obs.Nop() to disable collection, which also
-	// skips the stage clock's wall-clock reads on the hot path.
+	// private registry. Pass obs.Nop() to disable collection; with the
+	// tracer also off, the hot path reads no clock at all.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records per-window span trees (ingest →
 	// shard queue → flush → journal append, continued downstream into
-	// dispatch and response write via Window.Span). Span timestamps
-	// reuse the stage clock's sampled stamps, so tracing adds no
-	// hot-path clock reads beyond the 1-in-obsSampleEvery already
-	// budgeted — except for client-traced streams (SetUserTrace), whose
-	// explicit opt-in pays its own reads. nil disables tracing.
+	// dispatch and response write via Window.Span). Spans and stage
+	// histograms share the probe's sampled readings (tracing.Probe), so
+	// tracing adds no hot-path clock reads — except for client-traced
+	// streams (SetUserTrace), whose explicit opt-in pays its own reads.
+	// nil disables tracing.
 	Tracer *tracing.Tracer
 }
 
@@ -232,15 +232,11 @@ type userState struct {
 // pending window.
 type shardMsg struct {
 	batch []trace.Record
-	// enqueuedNS is the obs.Stamp at which the batch entered the queue —
-	// the start of its queue-residency measurement; 0 when the stage
-	// clock and tracer are both disabled, or for unsampled batches.
-	enqueuedNS int64
-	// stagedNS is the obs.Stamp at which the batch's first record was
-	// staged — the ingest-stage start. Set exactly when enqueuedNS is:
-	// the tracer reuses the stage clock's sampled stamps to build the
-	// batch span tree without new clock reads.
-	stagedNS int64
+	// stagedNS and enqueuedNS are the probe's readings at the batch's
+	// first staged record and at its entry into the queue — the ingest
+	// and queue stage boundaries, from which the probe also builds the
+	// batch's spans. Both 0 for an unsampled batch.
+	stagedNS, enqueuedNS int64
 	// traceUser, when non-empty, binds traceCtx as that user's remote
 	// trace context (SetUserTrace). Rides the queue so the binding
 	// orders with ingested records.
@@ -275,14 +271,11 @@ type shard struct {
 	stageMu sync.Mutex
 	stage   []trace.Record
 	dead    bool // no further sends on in; set before in closes
-	// stageStartNS is the obs.Stamp at which the stage went empty →
-	// non-empty (guarded by stageMu); 0 when empty, when the clock is
-	// disabled, or when this batch is not in the 1-in-obsSampleEvery
-	// measurement sample.
+	// stageStartNS is the probe's reading when the stage went empty →
+	// non-empty (guarded by stageMu); 0 when empty or unsampled.
 	stageStartNS int64
 	// stageTick counts batches (guarded by stageMu) and flushTick counts
-	// window flushes (shard goroutine only); both drive the deterministic
-	// 1-in-obsSampleEvery stage-clock sampling.
+	// window flushes (shard goroutine only): the probe's sampling ticks.
 	stageTick uint64
 	flushTick uint64
 	// batch is the span context of the sampled batch currently being
@@ -389,13 +382,9 @@ type Gateway struct {
 	jq chan journalReq
 	// jpumpEnd closes when the pump goroutine has drained jq and exited.
 	jpumpEnd chan struct{}
-	// jhist measures the sampled cost the hot path actually pays for
-	// journaling — the enqueue wait, which is ~zero until the pump falls
-	// behind (nil when jw is nil or metrics are disabled).
-	jhist *obs.Histogram
 
 	reg   *obs.Registry
-	clock *obs.StageClock // nil when reg is disabled
+	probe *tracing.Probe // nil when metrics and tracing are both off
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -442,11 +431,7 @@ func newGateway(ctx context.Context, cfg Config, jw *journal.Writer, gen uint64,
 	if g.reg == nil {
 		g.reg = obs.NewRegistry()
 	}
-	g.clock = obs.NewStageClock(g.reg)
-	if jw != nil && !g.reg.Disabled() {
-		g.jhist = g.reg.Histogram("lppm_journal_append_ns",
-			"sampled hot-path journal enqueue latency", nil)
-	}
+	g.probe = tracing.NewProbe(g.reg, cfg.Tracer, jw != nil)
 	if jw != nil {
 		g.jq = make(chan journalReq, journalQueueDepth)
 		g.jpumpEnd = make(chan struct{})
@@ -578,85 +563,89 @@ func (g *Gateway) Obs() *obs.Registry { return g.reg }
 // plane mounts its /trace and /debug/flight exports.
 func (g *Gateway) Tracer() *tracing.Tracer { return g.tracer }
 
-// registerMetrics exposes the counters the gateway already keeps. All
-// series are Func-backed reads of the existing atomics, so registration
-// adds zero hot-path cost and the exposed values cannot drift from Stats.
+// Probe returns the gateway's stage probe, nil when metrics and tracing
+// are both off; the HTTP server times its dispatch and write stages
+// through it.
+func (g *Gateway) Probe() *tracing.Probe { return g.probe }
+
+// registerMetrics exports the gateway's counters through one collector:
+// each Gather emits every series from one Stats snapshot (and one journal
+// snapshot), so /metrics cannot disagree with Stats and the hot path pays
+// nothing.
 func (g *Gateway) registerMetrics() {
-	for i, s := range g.shards {
-		l := obs.Labels{"shard": strconv.Itoa(i)}
-		g.reg.CounterFunc("lppm_shard_ingested_total",
-			"records accepted into the shard stage", l, s.ingested.Load)
-		g.reg.CounterFunc("lppm_shard_emitted_total",
-			"protected records delivered to the gateway output", l, s.emitted.Load)
-		g.reg.CounterFunc("lppm_shard_flushes_total",
-			"windows flushed through protection", l, s.flushes.Load)
-		g.reg.CounterFunc("lppm_shard_dropped_total",
-			"records lost because cancellation outran delivery", l, s.dropped.Load)
-		g.reg.CounterFunc("lppm_shard_reconfigs_total",
-			"user streams refreshed to a newer deployment", l, s.reconfigs.Load)
-		g.reg.GaugeFunc("lppm_shard_users",
-			"per-user streams held by the shard", l,
-			func() float64 { return float64(s.userN.Load()) })
-		g.reg.GaugeFunc("lppm_shard_queue_depth",
-			"shard input-queue occupancy in batches", l,
-			func() float64 { return float64(len(s.in)) })
+	labels := make([]obs.Labels, len(g.shards))
+	for i := range labels {
+		labels[i] = obs.Labels{"shard": strconv.Itoa(i)}
 	}
-	g.reg.GaugeFunc("lppm_gateway_generation",
-		"serving deployment generation (0 = installed at New)", nil,
-		func() float64 { return float64(g.deploy.Load().gen) })
-	g.reg.CounterFunc("lppm_gateway_swaps_total",
-		"successful deployment hot-swaps", nil, g.swaps.Load)
-	if g.jw != nil {
-		g.reg.CounterFunc("lppm_journal_appends_total",
-			"checkpoint/deploy records appended to the stream journal", nil,
-			func() uint64 { return g.jw.Stats().Appends })
-		g.reg.CounterFunc("lppm_journal_snapshots_total",
-			"snapshot frames written (startup install + rotations)", nil,
-			func() uint64 { return g.jw.Stats().Snapshots })
-		g.reg.CounterFunc("lppm_journal_bytes_total",
-			"journal bytes written, framing included", nil,
-			func() uint64 { return g.jw.Stats().Bytes })
-		g.reg.CounterFunc("lppm_journal_errors_total",
-			"journal append/sync/remove failures", nil,
-			func() uint64 { return g.jw.Stats().Errors })
-		g.reg.GaugeFunc("lppm_journal_segment",
-			"current journal segment index", nil,
-			func() float64 { return float64(g.jw.Stats().Segment) })
-		g.reg.GaugeFunc("lppm_journal_queue_depth",
-			"write-behind journal queue occupancy in pending appends", nil,
-			func() float64 { return float64(len(g.jq)) })
-	}
+	g.reg.Collect("gateway", func(emit obs.Emit) {
+		st := g.Stats()
+		for i, ss := range st.PerShard {
+			l := labels[i]
+			emit("lppm_shard_ingested_total", "records accepted into the shard stage",
+				l, obs.KindCounter, float64(ss.Ingested))
+			emit("lppm_shard_emitted_total", "protected records delivered to the gateway output",
+				l, obs.KindCounter, float64(ss.Emitted))
+			emit("lppm_shard_flushes_total", "windows flushed through protection",
+				l, obs.KindCounter, float64(ss.Flushes))
+			emit("lppm_shard_dropped_total", "records lost because cancellation outran delivery",
+				l, obs.KindCounter, float64(ss.Dropped))
+			emit("lppm_shard_reconfigs_total", "user streams refreshed to a newer deployment",
+				l, obs.KindCounter, float64(ss.Reconfigs))
+			emit("lppm_shard_users", "per-user streams held by the shard",
+				l, obs.KindGauge, float64(ss.Users))
+			emit("lppm_shard_queue_depth", "shard input-queue occupancy in batches",
+				l, obs.KindGauge, float64(ss.QueueLen))
+		}
+		emit("lppm_gateway_generation", "serving deployment generation (0 = installed at New)",
+			nil, obs.KindGauge, float64(st.Generation))
+		emit("lppm_gateway_swaps_total", "successful deployment hot-swaps",
+			nil, obs.KindCounter, float64(st.Swaps))
+		if g.jw == nil {
+			return
+		}
+		js := g.jw.Stats()
+		emit("lppm_journal_appends_total", "checkpoint/deploy records appended to the stream journal",
+			nil, obs.KindCounter, float64(js.Appends))
+		emit("lppm_journal_snapshots_total", "snapshot frames written (startup install + rotations)",
+			nil, obs.KindCounter, float64(js.Snapshots))
+		emit("lppm_journal_bytes_total", "journal bytes written, framing included",
+			nil, obs.KindCounter, float64(js.Bytes))
+		emit("lppm_journal_errors_total", "journal append/sync/remove failures",
+			nil, obs.KindCounter, float64(js.Errors))
+		emit("lppm_journal_segment", "current journal segment index",
+			nil, obs.KindGauge, float64(js.Segment))
+		emit("lppm_journal_queue_depth", "write-behind journal queue occupancy in pending appends",
+			nil, obs.KindGauge, float64(len(g.jq)))
+	})
 }
 
-// obsSampleEvery is the stage clock's deterministic sampling period: one
-// in every obsSampleEvery batches (and, independently, window flushes)
-// carries wall-clock stamps; the rest skip every clock read. A 37 ns
-// time.Now per stamp times two stamps per window flush was the dominant
-// instrumentation cost — sampling keeps the measured overhead well under
-// the 2% budget while the histograms, being statistical objects over
-// exchangeable batches, lose only tail resolution. Must be a power of two
-// (the gate is a mask); the first tick always samples so short tests and
-// low-traffic deployments still populate every stage series.
-const obsSampleEvery = 8
-
 // takeStage removes the shard's staged batch as a queue message (caller
-// holds stageMu), closing out the batch's ingest-stage measurement and
-// stamping the start of its queue residency. Unsampled batches (zero
-// stageStartNS) carry no stamp and stay off the clock downstream.
+// holds stageMu), ending a sampled batch's ingest stage at the reading
+// that starts its queue stage. Unsampled batches carry no readings.
 func (g *Gateway) takeStage(s *shard) shardMsg {
-	msg := shardMsg{batch: s.stage}
+	msg := shardMsg{batch: s.stage, stagedNS: s.stageStartNS}
+	msg.enqueuedNS = g.probe.Lap(obs.StageIngest, s.stageStartNS)
 	s.stage = nil
-	if s.stageStartNS != 0 {
-		now := obs.Stamp()
-		msg.enqueuedNS = now
-		// Carry the ingest-start stamp too: the tracer rebuilds the
-		// batch's ingest and queue spans from the same two readings the
-		// stage clock already paid for.
-		msg.stagedNS = s.stageStartNS
-		g.clock.Observe(obs.StageIngest, s.stageStartNS, now)
-	}
 	s.stageStartNS = 0
 	return msg
+}
+
+// pushStage hands the shard's staged records to its queue (caller holds
+// stageMu), blocking for backpressure. The lock stays held across the
+// send: competing producers would only block on the same full queue
+// anyway, and holding it keeps every send ordered before any close(s.in).
+func (g *Gateway) pushStage(s *shard) error {
+	if len(s.stage) == 0 {
+		return nil
+	}
+	msg := g.takeStage(s)
+	select {
+	case s.in <- msg:
+		return nil
+	case <-g.ctx.Done():
+		s.dropped.Add(uint64(len(msg.batch)))
+		return g.ctx.Err()
+	}
 }
 
 // watch finalizes the gateway once every worker has exited: leftover staged
@@ -765,29 +754,15 @@ func (g *Gateway) Ingest(rec trace.Record) error {
 	if s.stage == nil {
 		s.stage = make([]trace.Record, 0, g.cfg.StageSize)
 	}
-	if len(s.stage) == 0 && (g.clock != nil || g.tracer != nil) {
-		s.stageTick++
-		if s.stageTick&(obsSampleEvery-1) == 1 {
-			s.stageStartNS = obs.Stamp()
-		}
+	if len(s.stage) == 0 {
+		s.stageStartNS = g.probe.Sample(&s.stageTick)
 	}
 	s.stage = append(s.stage, rec)
 	s.ingested.Add(1)
 	if len(s.stage) < g.cfg.StageSize {
 		return nil
 	}
-	// Full stage: hand the batch to the worker, blocking for
-	// backpressure. The stage lock stays held — competing producers
-	// would only block on the same full queue anyway, and holding it
-	// keeps every send ordered before any close(s.in).
-	msg := g.takeStage(s)
-	select {
-	case s.in <- msg:
-		return nil
-	case <-g.ctx.Done():
-		s.dropped.Add(uint64(len(msg.batch)))
-		return g.ctx.Err()
-	}
+	return g.pushStage(s)
 }
 
 // FlushUser forces the user's pending window through protection now rather
@@ -804,46 +779,7 @@ func (g *Gateway) FlushUser(user string) error {
 	if user == "" {
 		return fmt.Errorf("service: flush for empty user id")
 	}
-	s := g.shards[shardOf(user, len(g.shards))]
-	done := make(chan struct{})
-	// The staged section runs under stageMu with a deferred unlock; the
-	// wait on done must happen after release (the worker needs producers
-	// to make progress), so it lives outside the closure.
-	err := func() error {
-		s.stageMu.Lock()
-		defer s.stageMu.Unlock()
-		if s.dead {
-			return ErrClosed
-		}
-		if err := g.ctx.Err(); err != nil {
-			return err
-		}
-		// Push the stage first so the command cannot overtake records
-		// still waiting there; both sends stay under stageMu to keep them
-		// ordered before any close(s.in).
-		if len(s.stage) > 0 {
-			msg := g.takeStage(s)
-			select {
-			case s.in <- msg:
-			case <-g.ctx.Done():
-				s.dropped.Add(uint64(len(msg.batch)))
-				return g.ctx.Err()
-			}
-		}
-		select {
-		case s.in <- shardMsg{flushUser: user, done: done}:
-			return nil
-		case <-g.ctx.Done():
-			return g.ctx.Err()
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	// The worker closes done after flushing; on cancellation the
-	// queue-drain accounting in watch closes it instead.
-	<-done
-	return nil
+	return g.command(user, shardMsg{flushUser: user, done: make(chan struct{})})
 }
 
 // EvictUser checkpoints a user's stream — pending records included, the
@@ -857,40 +793,7 @@ func (g *Gateway) EvictUser(user string) error {
 	if user == "" {
 		return fmt.Errorf("service: evict for empty user id")
 	}
-	s := g.shards[shardOf(user, len(g.shards))]
-	done := make(chan struct{})
-	err := func() error {
-		s.stageMu.Lock()
-		defer s.stageMu.Unlock()
-		if s.dead {
-			return ErrClosed
-		}
-		if err := g.ctx.Err(); err != nil {
-			return err
-		}
-		// Push the stage first so the eviction sees every record already
-		// ingested for this user (same ordering rule as FlushUser).
-		if len(s.stage) > 0 {
-			msg := g.takeStage(s)
-			select {
-			case s.in <- msg:
-			case <-g.ctx.Done():
-				s.dropped.Add(uint64(len(msg.batch)))
-				return g.ctx.Err()
-			}
-		}
-		select {
-		case s.in <- shardMsg{evictUser: user, done: done}:
-			return nil
-		case <-g.ctx.Done():
-			return g.ctx.Err()
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
+	return g.command(user, shardMsg{evictUser: user, done: make(chan struct{})})
 }
 
 // SetUserTrace binds a remote, client-originated trace context to a
@@ -909,21 +812,42 @@ func (g *Gateway) SetUserTrace(user string, sc tracing.SpanContext) error {
 	if user == "" {
 		return fmt.Errorf("service: trace bind for empty user id")
 	}
+	return g.command(user, shardMsg{traceUser: user, traceCtx: sc})
+}
+
+// command sends a control message down the user's shard queue behind
+// every record already ingested — the staged ones are pushed first, so
+// the command cannot overtake them — and, when msg carries done, waits
+// until the worker has processed it. On cancellation the queue-drain
+// accounting in watch closes done instead.
+func (g *Gateway) command(user string, msg shardMsg) error {
 	s := g.shards[shardOf(user, len(g.shards))]
-	s.stageMu.Lock()
-	defer s.stageMu.Unlock()
-	if s.dead {
-		return ErrClosed
+	// The sends run under stageMu with a deferred unlock; the wait on
+	// done must happen after release (the worker needs producers to make
+	// progress), so it lives outside the closure.
+	err := func() error {
+		s.stageMu.Lock()
+		defer s.stageMu.Unlock()
+		if s.dead {
+			return ErrClosed
+		}
+		if err := g.ctx.Err(); err != nil {
+			return err
+		}
+		if err := g.pushStage(s); err != nil {
+			return err
+		}
+		select {
+		case s.in <- msg:
+			return nil
+		case <-g.ctx.Done():
+			return g.ctx.Err()
+		}
+	}()
+	if err == nil && msg.done != nil {
+		<-msg.done
 	}
-	if err := g.ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case s.in <- shardMsg{traceUser: user, traceCtx: sc}:
-		return nil
-	case <-g.ctx.Done():
-		return g.ctx.Err()
-	}
+	return err
 }
 
 // IngestAll feeds a slice of records in order, stopping at the first error.
@@ -1103,14 +1027,7 @@ func (g *Gateway) Close() error {
 		for _, s := range g.shards {
 			s.stageMu.Lock()
 			if !s.dead {
-				if len(s.stage) > 0 {
-					msg := g.takeStage(s)
-					select {
-					case s.in <- msg:
-					case <-g.ctx.Done():
-						s.dropped.Add(uint64(len(msg.batch)))
-					}
-				}
+				_ = g.pushStage(s) //lppm:allow droppederr -- the only failure is cancellation, already accounted as dropped records
 				s.dead = true
 				close(s.in)
 			}
@@ -1216,25 +1133,8 @@ func (g *Gateway) run(s *shard) {
 // handleMsg windows each record of a queued batch and executes any control
 // command, acknowledging it.
 func (g *Gateway) handleMsg(s *shard, msg shardMsg) {
-	if msg.enqueuedNS != 0 {
-		dequeued := obs.Stamp()
-		g.clock.Observe(obs.StageQueue, msg.enqueuedNS, dequeued)
-		if g.tracer != nil {
-			// A sampled batch gets its span tree from the three stamps
-			// the stage clock already read: staged → enqueued → dequeued.
-			// ForceRoot, not Root — the 1-in-obsSampleEvery tick mask is
-			// the sampling decision here. Windows flushed while this
-			// batch is being handled parent under it (s.batch).
-			root := g.tracer.ForceRootAt("batch", msg.stagedNS)
-			sc := root.Context()
-			g.tracer.ChildAt(sc, "ingest", msg.stagedNS).EndAt(msg.enqueuedNS)
-			g.tracer.ChildAt(sc, "queue", msg.enqueuedNS).EndAt(dequeued)
-			root.AttrInt("records", int64(len(msg.batch))).EndAt(dequeued)
-			s.batch = sc
-		}
-	} else if g.tracer != nil {
-		s.batch = tracing.SpanContext{}
-	}
+	// Windows flushed while this batch is handled parent under its span.
+	s.batch = g.probe.Batch(msg.stagedNS, msg.enqueuedNS, len(msg.batch))
 	for _, rec := range msg.batch {
 		g.handle(s, rec)
 	}
@@ -1353,37 +1253,9 @@ func (g *Gateway) flush(s *shard, u *userState) {
 	if n == 0 {
 		return
 	}
-	// Sampled like the ingest/queue stages: most flushes skip both clock
-	// reads, one in obsSampleEvery measures window-flush → emission.
-	var flushStart int64
-	if g.clock != nil || g.tracer != nil {
-		s.flushTick++
-		if s.flushTick&(obsSampleEvery-1) == 1 {
-			flushStart = obs.Stamp()
-		}
-	}
-	// The window span reuses the flush stamps. Parent priority: a
-	// client-originated trace bound by SetUserTrace wins (and, being an
-	// explicit opt-in, is recorded on every flush — paying its own
-	// clock read when this flush isn't in the sample); otherwise a
-	// sampled flush parents under the sampled batch that triggered it,
-	// or stands alone as a root.
-	var wspan *tracing.Span
-	if g.tracer != nil {
-		switch {
-		case u.remote.Sampled():
-			start := flushStart
-			if start == 0 {
-				start = obs.Stamp()
-			}
-			wspan = g.tracer.ChildAt(u.remote, "window", start)
-		case flushStart != 0 && s.batch.Sampled():
-			wspan = g.tracer.ChildAt(s.batch, "window", flushStart)
-		case flushStart != 0:
-			wspan = g.tracer.ForceRootAt("window", flushStart)
-		}
-		wspan.Attr("user", us.User()).AttrInt("records", int64(n))
-	}
+	// Timed window-flush → emission, sampled like the batch stages.
+	w := g.probe.Window(&s.flushTick, u.remote, s.batch)
+	w.Span.Attr("user", us.User()).AttrInt("records", int64(n))
 	if dep := g.deploy.Load(); dep.gen != u.gen {
 		if err := us.Reconfigure(dep.mech, dep.paramsFor(us.User())); err != nil {
 			// Reject the refresh but keep serving the old, valid
@@ -1416,10 +1288,10 @@ func (g *Gateway) flush(s *shard, u *userState) {
 		// error; discard so the window is counted dropped exactly once
 		// rather than again per retry.
 		s.dropped.Add(uint64(us.Discard()))
-		wspan.EndErr(err)
+		w.Span.EndErr(err)
 		return
 	}
-	wspan.AttrUint("generation", u.gen)
+	w.Span.AttrUint("generation", u.gen)
 	s.flushes.Add(1)
 	u.windows++
 	u.out += uint64(len(recs))
@@ -1441,30 +1313,20 @@ func (g *Gateway) flush(s *shard, u *userState) {
 			Windows:    u.windows,
 			Window:     recs,
 		}
-		var jStart int64
-		if (g.jhist != nil && flushStart != 0) || wspan != nil {
-			jStart = obs.Stamp()
-		}
+		// The timed cost is the enqueue wait, ~zero until the pump
+		// falls behind.
+		j := w.Journal()
 		g.jq <- journalReq{kind: jreqCheckpoint, cp: cp}
-		if jStart != 0 {
-			jEnd := obs.Stamp()
-			if g.jhist != nil && flushStart != 0 {
-				g.jhist.Observe(jEnd - jStart)
-			}
-			g.tracer.ChildAt(wspan.Context(), "journal.append", jStart).EndAt(jEnd)
-		}
+		j.End()
 	}
 	if tp != nil {
 		tp.Observe(u.gen, actual, recs)
 	}
+	out := Window{Records: recs, Span: w.Span.Context()}
 	select {
-	case g.out <- Window{Records: recs, Span: wspan.Context()}:
+	case g.out <- out:
 		s.emitted.Add(uint64(len(recs)))
-		if flushStart != 0 || wspan != nil {
-			end := obs.Stamp()
-			g.clock.Observe(obs.StageFlush, flushStart, end)
-			wspan.EndAt(end)
-		}
+		w.End()
 		return
 	case <-g.ctx.Done():
 	}
@@ -1477,16 +1339,12 @@ func (g *Gateway) flush(s *shard, u *userState) {
 	timer := time.NewTimer(time.Until(g.graceUntil))
 	defer timer.Stop()
 	select {
-	case g.out <- Window{Records: recs, Span: wspan.Context()}:
+	case g.out <- out:
 		s.emitted.Add(uint64(len(recs)))
-		if flushStart != 0 || wspan != nil {
-			end := obs.Stamp()
-			g.clock.Observe(obs.StageFlush, flushStart, end)
-			wspan.EndAt(end)
-		}
+		w.End()
 	case <-timer.C:
 		s.dropped.Add(uint64(len(recs)))
-		wspan.EndErr(errWindowDropped)
+		w.Span.EndErr(errWindowDropped)
 	}
 }
 
